@@ -25,6 +25,9 @@ __all__ = ["AutoscalingController"]
 class AutoscalingController:
     """Periodic autoscaling of a datacenter's machine lease.
 
+    The control loop is a daemon: its ticks never keep a finished run
+    alive (see :meth:`~repro.sim.engine.Simulator.daemon_timeout`).
+
     Args:
         sim: The simulator.
         datacenter: The elastic platform.
@@ -129,7 +132,7 @@ class AutoscalingController:
                         "autoscale", category="autoscaling",
                         attrs={"target": target, "before": before,
                                "after": after})
-            yield self.sim.timeout(self.interval)
+            yield self.sim.daemon_timeout(self.interval)
 
     def stop(self) -> None:
         """Stop the control loop at the next tick."""

@@ -4,10 +4,9 @@ Observability in this repository is **disabled by default and free
 when disabled**: instrumented code paths (scheduler, datacenter,
 failure injector, FaaS platform, autoscaler, chaos harness) read
 ``sim.observer`` and do nothing when it is ``None`` — a single
-attribute load and identity check, and the simulator's hot event loop
-does not even pay that (it dispatches once per ``run()`` call, not per
-event).  Attaching an :class:`Observer` flips every instrumented site
-on at once:
+attribute load and identity check, which is also all
+:meth:`~repro.sim.engine.Simulator.step` pays per event.  Attaching
+an :class:`Observer` flips every instrumented site on at once:
 
 - ``observer.tracer`` collects causal :class:`~repro.observability.tracing.Span`
   trees over simulated time;

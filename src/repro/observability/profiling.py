@@ -15,8 +15,9 @@ classifying the owning process name against prefix rules ("exec-" is
 the datacenter, "faas-" the serverless platform, ...).  The simulator
 only pays for any of this while an
 :class:`~repro.observability.observer.Observer` with profiling enabled
-is attached: :meth:`repro.sim.Simulator.run` dispatches to a separate
-instrumented loop, so the disabled-by-default hot path is untouched.
+is attached: :meth:`repro.sim.Simulator.step` takes its profiled
+branch only then, so the disabled-by-default path pays one ``None``
+check per event.
 
 :meth:`SubsystemProfiler.report` deliberately returns only the
 deterministic columns (event counts and simulated time) so it can sit
@@ -72,8 +73,9 @@ class SubsystemProfiler:
         self.rules = tuple(rules)
         self._buckets: dict[str, _Bucket] = {}
         #: Total wall-clock seconds spent inside instrumented
-        #: ``Simulator.run`` calls (includes kernel overhead the
-        #: per-callback timers cannot see).
+        #: ``Simulator.advance`` calls, the drive loop behind ``run()``
+        #: (includes kernel overhead the per-callback timers cannot
+        #: see).
         self.run_wall_time = 0.0
         self._cache: dict[str, str] = {}
 
@@ -103,7 +105,7 @@ class SubsystemProfiler:
         bucket.wall_time += wall_dt
 
     def record_run_wall(self, seconds: float) -> None:
-        """Account one instrumented ``run()`` call's total wall time."""
+        """Account one instrumented drive-loop call's total wall time."""
         self.run_wall_time += seconds
 
     # ------------------------------------------------------------------

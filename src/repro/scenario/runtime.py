@@ -9,15 +9,20 @@ single composition root they now share: it builds a
 *fixed construction order* so that refactoring an entry point onto the
 kernel preserves its determinism digests bit for bit.
 
-The drive loop is the one introduced by the chaos harness: step the
-simulator to event exhaustion (bounded by ``duration``/``max_time``)
-without the clock jump that ``run(until=...)`` performs on an early
-drain, advancing streaming telemetry *externally* so observation can
-never perturb the event order.
+A run is driven by the simulator's one loop,
+:meth:`~repro.sim.engine.Simulator.advance`.  Without a ``duration``
+it ends at *quiescence* — when only daemon ticks (autoscaler,
+portfolio) remain and no task waits — with ``max_time`` as a pure
+safety cap; the clock stays at the last real event.  A ``duration`` is
+an explicit observation window: daemons tick up to it and the clock
+then jumps to it.  Streaming telemetry advances *externally*, through
+the loop's per-step hook, so observation can never perturb the event
+order.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Sequence
 
 from ..autoscaling.controller import AutoscalingController
@@ -82,46 +87,74 @@ class ScenarioRuntime:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def drive(self, trace: list[float] | None = None) -> None:
-        """Step the run to completion.
+    def peek(self) -> float:
+        """Time of the next event the run will process, or ``inf``.
 
-        Runs to event exhaustion bounded by ``duration`` (when set) or
-        ``max_time``, *without* the clock jump to the stop time that
-        ``Simulator.run(until=...)`` performs on an early drain — the
-        availability denominator is the actual elapsed time.  Streaming
-        telemetry ticks are driven externally (``advance``) rather than
-        as sim events, so observation can never keep a drained
-        simulation alive or perturb its event order.
+        ``inf`` once the run is over: nothing is queued within its
+        bound (``duration``, else ``max_time``), or — without a
+        ``duration`` — the simulator is quiescent.
+        """
+        sim = self.sim
+        when = sim.peek()
+        if when > self._bound() or (self.duration is None
+                                    and sim.quiescent):
+            return math.inf
+        return when
+
+    def advance(self, stop: float = math.inf,
+                trace: list[float] | None = None) -> int:
+        """Process the run's events strictly before ``stop``.
+
+        Calls the simulator's one loop with the run's bound and the
+        streaming pipeline's ``advance`` as the per-step hook; the
+        sharded epoch driver calls this once per window.
 
         Args:
-            trace: Optional list; when given, ``sim.now`` is appended
-                after every step — the event-time trace the perf
-                harness digests to pin exact event ordering.
+            stop: Exclusive upper edge (``inf`` runs to the end).
+            trace: Optional list; when given, the time of every
+                processed event is appended — the event-time trace the
+                perf harness digests to pin exact event ordering.
+
+        Returns:
+            The number of events processed.
+        """
+        until = self._bound()
+        if stop != math.inf:
+            until = min(until, math.nextafter(stop, -math.inf))
+        telemetry = (self.engine.pipeline.advance
+                     if self.engine is not None else None)
+        record = trace.append if trace is not None else None
+        if telemetry is not None and record is not None:
+            def hook(when: float) -> None:
+                telemetry(when)
+                record(when)
+        else:
+            hook = telemetry or record
+        return self.sim.advance(until, hook=hook,
+                                quiesce=self.duration is None)
+
+    def _bound(self) -> float:
+        return self.duration if self.duration is not None else self.max_time
+
+    def drive(self, trace: list[float] | None = None) -> None:
+        """Run to the end and settle the clock and telemetry.
+
+        Without a ``duration`` the run ends at quiescence (or at the
+        ``max_time`` safety cap) and the clock stays at the last
+        processed event, so the availability and utilisation
+        denominators are the time the run really took.  With a
+        ``duration`` the clock jumps to it after the last event.
+
+        Args:
+            trace: Optional event-time trace list (see :meth:`advance`).
         """
         if self._driven:
             raise RuntimeError("this runtime was already driven; "
                                "build a fresh one per run")
         self._driven = True
+        self.advance(trace=trace)
         sim = self.sim
-        bound = self.duration if self.duration is not None else self.max_time
-        if self.engine is None:
-            if trace is None:
-                while sim.peek() <= bound:
-                    sim.step()
-            else:
-                record = trace.append
-                while sim.peek() <= bound:
-                    sim.step()
-                    record(sim.now)
-        else:
-            pipeline = self.engine.pipeline
-            record = trace.append if trace is not None else None
-            while (when := sim.peek()) <= bound:
-                pipeline.advance(when)
-                sim.step()
-                if record is not None:
-                    record(sim.now)
-        if self.duration is not None and sim.now < self.duration:
+        if self.duration is not None:
             # An explicit duration fixes the observation window: jump
             # the clock to it (no events remain at or before it).
             sim.run(until=self.duration)
@@ -243,8 +276,10 @@ def compose(*, seed: int,
         horizon: Failure-generation horizon.
         injection_jitter: Failure-time perturbation bound.
         availability_slo: Target graded into the chaos report.
-        duration: Optional run-until bound; None runs to exhaustion.
-        max_time: Safety cap on simulated time.
+        duration: Optional explicit observation window; None runs to
+            quiescence.
+        max_time: Safety cap on simulated time (never reached by a run
+            that finishes).
         spec: The originating spec, if any (carried on the runtime for
             fingerprinting; composition never reads it).
         submit_router: Optional arrival-time hook, ``(item) -> bool``;

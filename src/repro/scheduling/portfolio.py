@@ -86,7 +86,8 @@ class PortfolioScheduler:
     Every ``interval`` simulated seconds, all candidate policies are
     scored on the current queue with :func:`estimate_mean_slowdown`; the
     winner becomes the scheduler's queue policy.  ``history`` records
-    each switch for later analysis.
+    each switch for later analysis.  The selection loop is a daemon:
+    its ticks never keep a finished run alive.
     """
 
     def __init__(self, sim: Simulator, scheduler: ClusterScheduler,
@@ -136,7 +137,7 @@ class PortfolioScheduler:
             if self.scheduler.queue:
                 self.select()
                 self.scheduler._poke()
-            yield self.sim.timeout(self.interval)
+            yield self.sim.daemon_timeout(self.interval)
 
     def stop(self) -> None:
         """Stop the selection loop at the next tick."""

@@ -155,6 +155,9 @@ class ClusterScheduler:
         self._wakeup = sim.event()
         self._stopped = False
         datacenter.on_capacity_change.append(self._poke)
+        # Waiting tasks keep the run live while only daemon ticks are
+        # queued: an autoscaler may still add the capacity they need.
+        sim.hold(lambda: bool(self.queue) and not self._stopped)
         sim.process(self._run(), name="scheduler-loop")
 
     # ------------------------------------------------------------------
@@ -262,12 +265,14 @@ class ClusterScheduler:
             self._placement_source = placement
             self._placement_kernel = vectorized_placement(placement)
         capacity = self.datacenter.capacity
-        # One topology check per round covers every kernel call inside
-        # it: topology can only change between events, never inside a
-        # synchronous round.
-        self._round_capacity = (
-            capacity if (self._placement_kernel is not None
-                         and capacity.sync() is not None) else None)
+        if self._placement_kernel is not None:
+            # One topology check per round covers every kernel call
+            # inside it: topology can only change between events,
+            # never inside a synchronous round.
+            capacity.sync()
+            self._round_capacity = capacity
+        else:
+            self._round_capacity = None
         epoch = capacity.release_epoch
         if epoch != self._failed_epoch:
             # Something was freed since the failures were proven (or
@@ -300,9 +305,6 @@ class ClusterScheduler:
         if capacity is not None:
             return self._placement_kernel(self.placement_policy, task,
                                           capacity)
-        if type(self.placement_policy) is FirstFit:
-            # Cluster-skipping scalar fast path (no numpy available).
-            return next(self.datacenter.capacity.candidates(task), None)
         return self.placement_policy.select(
             task, self.datacenter.available_machines())
 

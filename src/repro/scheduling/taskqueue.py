@@ -29,12 +29,9 @@ from bisect import insort
 from collections import deque
 from typing import Callable, Iterable, Iterator, Optional
 
-from ..workload.task import Task
+import numpy as _np
 
-try:  # optional: accelerates full rebuilds of the sorted view
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via stubbed tests
-    _np = None
+from ..workload.task import Task
 
 __all__ = ["TaskQueue"]
 
@@ -57,7 +54,7 @@ def _sort_items(items: list[tuple]) -> list[tuple]:
     that shape — ragged widths, non-numeric components, huge ints —
     falls back to ``sorted()``.
     """
-    if _np is None or len(items) < _LEXSORT_FLOOR:
+    if len(items) < _LEXSORT_FLOOR:
         return sorted(items)
     width = len(items[0][0])
     keys = [item[0] for item in items]

@@ -10,13 +10,21 @@ Determinism: two events scheduled for the same time are processed in the
 order they were scheduled (FIFO tie-breaking via a monotonically
 increasing sequence number), so runs are exactly reproducible given the
 same seed.
+
+Daemons and quiescence: background control loops (autoscalers,
+portfolio re-selection, unbounded periodic ticks) wait on *daemon*
+timeouts (:meth:`Simulator.daemon_timeout`).  A run without an
+explicit end time stops at *quiescence* — when only daemon events are
+queued and no registered hold (:meth:`Simulator.hold`, e.g. a scheduler
+with waiting tasks) is busy — so a controller ticking forever cannot
+stretch a finished run to its safety cap.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from .events import (NO_CALLBACKS, AllOf, AnyOf, Event, Interrupt,
                      SimulationError, Timeout)
@@ -25,6 +33,10 @@ __all__ = ["Simulator", "Process"]
 
 #: Type alias for the generators that drive processes.
 ProcessGenerator = Generator[Event, Any, Any]
+
+
+class _Halt(Exception):
+    """Raised by a step hook to end :meth:`Simulator.advance` early."""
 
 
 class Process(Event):
@@ -138,9 +150,13 @@ class Simulator:
         self.events_processed = 0
         #: Optional :class:`~repro.observability.observer.Observer`.
         #: ``None`` (the default) keeps every instrumented code path —
-        #: including the hot event loop, which dispatches on this once
-        #: per ``run()`` call — at its uninstrumented cost.
+        #: including :meth:`step`, which checks it once per event — at
+        #: its uninstrumented cost.
         self.observer: Any = None
+        #: Daemon events currently queued (see :meth:`daemon_timeout`).
+        self._daemons = 0
+        #: ``() -> bool`` probes that keep a run live (see :meth:`hold`).
+        self._holds: list[Callable[[], bool]] = []
 
     @property
     def now(self) -> float:
@@ -162,6 +178,40 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` time units from now."""
         return Timeout(self, delay, value)
+
+    def daemon_timeout(self, delay: float, value: Any = None) -> Timeout:
+        """A timeout that does not keep the run alive on its own.
+
+        The tick of a background control loop: while only daemon
+        timeouts are queued (and no :meth:`hold` is busy) the run is
+        *quiescent*, and :meth:`advance` stops there instead of
+        ticking on to its safety cap.  An explicit end time
+        (``run(until=T)``, a scenario ``duration``) still processes
+        daemon ticks up to it.
+        """
+        timeout = Timeout(self, delay, value)
+        self._daemons += 1
+        timeout.add_callback(self._daemon_fired)
+        return timeout
+
+    def _daemon_fired(self, _event: Event) -> None:
+        self._daemons -= 1
+
+    def hold(self, busy: Callable[[], bool]) -> None:
+        """Keep the run live while ``busy()`` is true.
+
+        A hold matters only once every queued event is a daemon tick:
+        a scheduler whose waiting tasks need a controller to add
+        capacity registers one, so the run goes on ticking until the
+        tasks are placed.
+        """
+        self._holds.append(busy)
+
+    @property
+    def quiescent(self) -> bool:
+        """Whether only daemon events are queued and no hold is busy."""
+        return (len(self._queue) <= self._daemons
+                and not any(busy() for busy in self._holds))
 
     def process(self, generator: ProcessGenerator,
                 name: str | None = None) -> Process:
@@ -185,25 +235,28 @@ class Simulator:
         must be a plain callable — it runs synchronously inside the
         tick event, so it may read state and schedule work but cannot
         itself consume simulated time.  ``until`` bounds the process:
-        no tick is scheduled past it, so a periodic observer cannot
-        keep an otherwise-drained simulation alive.  Returns the tick
-        :class:`Process` (interrupt it to cancel early).
+        no tick is scheduled past it.  Without ``until`` the ticks are
+        daemon events (:meth:`daemon_timeout`), so an unbounded ticker
+        cannot keep an otherwise-finished run alive either.  Returns
+        the tick :class:`Process` (interrupt it to cancel early).
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
 
+        wait = self.daemon_timeout if until is None else self.timeout
+
         def _ticks():
             while until is None or self._now + interval <= until + 1e-9:
-                yield self.timeout(interval)
+                yield wait(interval)
                 fn(self._now)
 
         return self.process(_ticks(), name=name)
 
     # ------------------------------------------------------------------
-    # Scheduling and the main loop
+    # Scheduling and the drive loop
     # ------------------------------------------------------------------
     def _enqueue(self, event: Event, delay: float) -> None:
-        heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
+        heappush(self._queue, (self._now + delay, self._sequence, event))
         self._sequence += 1
 
     def peek(self) -> float:
@@ -211,15 +264,27 @@ class Simulator:
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event."""
-        if not self._queue:
+        """Process exactly one event: the one place events are delivered.
+
+        Delivery runs the stored callbacks and marks the event
+        processed (``callbacks`` becomes ``None``).
+        """
+        queue = self._queue
+        if not queue:
             raise SimulationError("no scheduled events")
         observer = self.observer
         if observer is not None and observer.profiler is not None:
             event = self._step_profiled(observer.profiler)
         else:
-            self._now, _, event = heapq.heappop(self._queue)
-            event._run_callbacks()
+            self._now, _, event = heappop(queue)
+            callbacks = event.callbacks
+            event.callbacks = None
+            if callbacks is not NO_CALLBACKS:
+                if type(callbacks) is list:
+                    for callback in callbacks:
+                        callback(event)
+                else:
+                    callbacks(event)
         self.events_processed += 1
         if event._ok is False and not event.defused:
             # A failure nobody waited for must not pass silently.
@@ -234,7 +299,7 @@ class Simulator:
         back to the event's own name, then to the kernel).
         """
         previous = self._now
-        self._now, _, event = heapq.heappop(self._queue)
+        self._now, _, event = heappop(self._queue)
         sim_dt = self._now - previous
         event_label = getattr(event, "name", "") or ""
         callbacks = event.callbacks
@@ -245,6 +310,11 @@ class Simulator:
                 callbacks = (callbacks,)
             for callback in callbacks:
                 owner = getattr(callback, "__self__", None)
+                if owner is self:
+                    # Kernel book-keeping (the daemon count): the tick
+                    # belongs to the process it resumes.
+                    callback(event)
+                    continue
                 label = getattr(owner, "name", None) or event_label
                 subsystem = profiler.classify(label)
                 if primary is None:
@@ -257,40 +327,54 @@ class Simulator:
         profiler.record(primary, sim_dt=sim_dt, events=1)
         return event
 
-    def advance_until(self, stop: float, bound: float | None = None,
-                      before_step: Any = None) -> int:
-        """Process events strictly before ``stop`` (the shard run loop).
+    def advance(self, until: float = float("inf"),
+                hook: Callable[[float], None] | None = None,
+                quiesce: bool = True) -> int:
+        """Process events at or before ``until``: the one drive loop.
 
-        The conservative-coupling window: every event with time in
-        ``[now, stop)`` — and, when ``bound`` is given, at most
-        ``bound`` — is processed via :meth:`step`, so observer and
-        profiler semantics match a plain drive loop exactly.  The
-        strict upper edge is what makes epoch windows composable:
-        a message delivered *at* ``stop`` belongs to the next window
-        on every shard, regardless of how the windows were cut.
+        Every event is dispatched through :meth:`step`, so observer
+        and profiler semantics are those of a hand-written step loop.
+        Events past ``until`` stay queued and the clock is left at the
+        last processed event.
 
         Args:
-            stop: Exclusive upper edge of the window (``inf`` runs to
-                exhaustion).
-            bound: Optional inclusive cap (a scenario's ``duration`` /
-                ``max_time``); events past it stay queued.
-            before_step: Optional ``fn(event_time)`` called before each
-                step — the seam external telemetry drivers (streaming
-                SLO pipelines) use to advance with the clock.
+            until: Inclusive edge (a safety cap, a window, or ``inf``).
+                A caller wanting an exclusive edge ``stop`` passes
+                ``math.nextafter(stop, -inf)``.
+            hook: Optional ``fn(event_time)`` called before each step —
+                the seam for streaming telemetry (``advance``) and
+                event-time traces (``list.append``).  ``run(until=event)``
+                ends the loop from its hook once the event is processed.
+            quiesce: Stop once the run is :attr:`quiescent`.  Pass
+                False for an explicit window, where daemon ticks keep
+                running up to ``until``.
 
         Returns:
             The number of events processed.
         """
         queue = self._queue
+        step = self.step
+        observer = self.observer
+        profiler = observer.profiler if observer is not None else None
+        started = perf_counter()
         processed = 0
-        while queue:
-            when = queue[0][0]
-            if when >= stop or (bound is not None and when > bound):
-                break
-            if before_step is not None:
-                before_step(when)
-            self.step()
-            processed += 1
+        try:
+            while queue:
+                when = queue[0][0]
+                if when > until:
+                    break
+                if (len(queue) <= self._daemons and quiesce
+                        and self.quiescent):
+                    break
+                if hook is not None:
+                    hook(when)
+                step()
+                processed += 1
+        except _Halt:
+            pass
+        finally:
+            if profiler is not None:
+                profiler.record_run_wall(perf_counter() - started)
         return processed
 
     def inject(self, when: float, fn: Any) -> Timeout:
@@ -321,103 +405,41 @@ class Simulator:
         return timeout
 
     def run(self, until: float | Event | None = None) -> Any:
-        """Run until the queue drains, until a time, or until an event.
+        """Run until quiescence, until a time, or until an event.
 
-        ``until`` may be ``None`` (run to exhaustion), a number (run up to
-        and including that time), or an :class:`Event` (run until it is
-        processed, returning its value).
+        ``until`` may be ``None`` (run until the queue drains or the
+        run is :attr:`quiescent`), a number (an explicit window: every
+        event up to and including that time, daemon ticks included,
+        then the clock jumps to it), or an :class:`Event` (run until it
+        is processed, returning its value).
         """
-        stop_event: Event | None = None
-        stop_time = float("inf")
+        if until is None:
+            self.advance()
+            return None
         if isinstance(until, Event):
-            stop_event = until
-            if stop_event.processed:
-                return stop_event.value
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(
-                    f"until={stop_time} lies in the past (now={self._now})")
+            return self._run_to(until)
+        stop_time = float(until)
+        if stop_time < self._now:
+            raise ValueError(
+                f"until={stop_time} lies in the past (now={self._now})")
+        self.advance(stop_time, quiesce=False)
+        self._now = stop_time
+        return None
 
-        observer = self.observer
-        if observer is not None and observer.profiler is not None:
-            return self._run_profiled(stop_event, stop_time,
-                                      observer.profiler)
+    def _run_to(self, stop_event: Event) -> Any:
+        """Advance until ``stop_event`` is processed; return its value."""
+        if stop_event.processed:
+            return stop_event.value
 
-        # Hot loop: equivalent to repeated step() calls, with the heap,
-        # the heappop function, and the callback sentinel held in locals
-        # so the per-event cost is a handful of bytecode ops.
-        queue = self._queue
-        heappop = heapq.heappop
-        no_callbacks = NO_CALLBACKS
-        processed = 0
-        try:
-            while queue:
-                if queue[0][0] > stop_time:
-                    self._now = stop_time
-                    return None
-                self._now, _, event = heappop(queue)
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks is not no_callbacks:
-                    if type(callbacks) is list:
-                        for callback in callbacks:
-                            callback(event)
-                    else:
-                        callbacks(event)
-                processed += 1
-                if event._ok is False and not event.defused:
-                    # A failure nobody waited for must not pass silently.
-                    raise event._exception  # type: ignore[misc]
-                if stop_event is not None and stop_event.callbacks is None:
-                    if not stop_event.ok:
-                        raise stop_event.value
-                    return stop_event.value
-        finally:
-            self.events_processed += processed
+        def halt_once_processed(_when: float) -> None:
+            if stop_event.callbacks is None:
+                raise _Halt
 
-        if stop_event is not None and not stop_event.processed:
+        self.advance(hook=halt_once_processed)
+        if not stop_event.processed:
             raise SimulationError(
                 "simulation ran out of events before the awaited event "
                 f"{stop_event!r} triggered")
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return None
-
-    def _run_profiled(self, stop_event: Event | None, stop_time: float,
-                      profiler) -> Any:
-        """The ``run()`` loop with per-subsystem cost attribution.
-
-        Semantically identical to the fast loop (same event order, same
-        stop conditions, same failure propagation); it only adds the
-        profiler's book-keeping, so runs with and without an observer
-        produce bit-identical simulation outcomes.
-        """
-        queue = self._queue
-        processed = 0
-        run_started = perf_counter()
-        try:
-            while queue:
-                if queue[0][0] > stop_time:
-                    self._now = stop_time
-                    return None
-                event = self._step_profiled(profiler)
-                processed += 1
-                if event._ok is False and not event.defused:
-                    # A failure nobody waited for must not pass silently.
-                    raise event._exception  # type: ignore[misc]
-                if stop_event is not None and stop_event.callbacks is None:
-                    if not stop_event.ok:
-                        raise stop_event.value
-                    return stop_event.value
-        finally:
-            self.events_processed += processed
-            profiler.record_run_wall(perf_counter() - run_started)
-
-        if stop_event is not None and not stop_event.processed:
-            raise SimulationError(
-                "simulation ran out of events before the awaited event "
-                f"{stop_event!r} triggered")
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return None
+        if not stop_event.ok:
+            raise stop_event.value
+        return stop_event.value

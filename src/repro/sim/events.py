@@ -143,17 +143,6 @@ class Event:
         else:
             self.callbacks = [cbs, callback]
 
-    def _run_callbacks(self) -> None:
-        """Deliver the event: run the stored callbacks and mark processed."""
-        callbacks = self.callbacks
-        self.callbacks = None
-        if callbacks is not NO_CALLBACKS:
-            if type(callbacks) is list:
-                for callback in callbacks:
-                    callback(self)
-            else:
-                callbacks(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")

@@ -17,6 +17,8 @@ minimum plus the *lookahead* — the minimum cross-shard link latency
 (:func:`~repro.datacenter.wide_area.min_lookahead`), or the plan's
 tighter explicit ``epoch`` — injects the previous epoch's messages,
 and lets every shard process events strictly below the window end.
+The loop ends when every shard is done (quiescent, or past its
+``duration``/``max_time`` bound) and no message is in flight.
 The classic safety argument applies: a message sent at time *t* inside
 the window delivers at ``t + latency >= window_end``, so delivering it
 at the next barrier can never rewind any shard's clock.
@@ -191,8 +193,8 @@ class ShardHarness:
     datacenter diverts plain tasks into the outbox), message injection
     (delegated tasks and acknowledgements arrive as future events via
     :meth:`~repro.sim.engine.Simulator.inject`), and windowed
-    advancement (:meth:`~repro.sim.engine.Simulator.advance_until`
-    bounded by the epoch barrier).
+    advancement (:meth:`~repro.scenario.runtime.ScenarioRuntime.advance`
+    up to the epoch barrier).
     """
 
     def __init__(self, spec: "ScenarioSpec", shard: "ShardSpec",
@@ -224,10 +226,6 @@ class ShardHarness:
                                   shard.offload.threshold)
                       if shard.offload is not None else None)
         self.runtime.scheduler.on_task_complete.append(self._on_complete)
-        self._bound = (self.runtime.duration
-                       if self.runtime.duration is not None
-                       else self.runtime.max_time)
-        self._finished = False
 
     # -- outbound -------------------------------------------------------
     def _route(self, item: Any) -> bool:
@@ -290,37 +288,26 @@ class ShardHarness:
 
     # -- advancement ----------------------------------------------------
     def peek(self) -> float:
-        """The shard's next local event time (``inf`` when drained)."""
-        return self.runtime.sim.peek()
+        """The shard's next local event time (``inf`` once it is done)."""
+        return self.runtime.peek()
 
     def advance(self, stop: float) -> int:
         """Process local events strictly before the window end."""
-        engine = self.runtime.engine
-        before = engine.pipeline.advance if engine is not None else None
-        return self.runtime.sim.advance_until(stop, bound=self._bound,
-                                              before_step=before)
+        return self.runtime.advance(stop)
 
     # -- completion -----------------------------------------------------
     def finish(self) -> dict:
         """Settle the run and compile the shard's wire payload.
 
-        Replicates the tail of
-        :meth:`~repro.scenario.runtime.ScenarioRuntime.drive` (the
-        duration clock jump and final telemetry advance), finalizes,
-        and returns the result JSON, optional telemetry snapshot JSON
-        (run id ``shard-<name>``), and the cross-shard accounting the
-        merge needs — all plain data, safe to ship over a pipe.
+        Drives the shard's runtime to its end — once the epoch loop is
+        over that processes no event, only the duration clock jump and
+        final telemetry advance — finalizes, and returns the result
+        JSON, optional telemetry snapshot JSON (run id
+        ``shard-<name>``), and the cross-shard accounting the merge
+        needs — all plain data, safe to ship over a pipe.
         """
-        if self._finished:
-            raise RuntimeError(f"shard {self.name!r} was already finished")
-        self._finished = True
         runtime = self.runtime
-        sim = runtime.sim
-        runtime._driven = True
-        if runtime.duration is not None and sim.now < runtime.duration:
-            sim.run(until=runtime.duration)
-        if runtime.engine is not None:
-            runtime.engine.pipeline.advance(sim.now)
+        runtime.drive()
         runtime.finalize()
         observer = runtime.observer
         if not self._declared:
@@ -375,12 +362,12 @@ def _route_messages(outbound: Iterable["RemoteSubmit | CompletionAck"],
     return by_dst
 
 
-def _drive_epochs(shard_set: Any, *, bound: float, lookahead: float) -> int:
+def _drive_epochs(shard_set: Any, *, lookahead: float) -> int:
     """Run the conservative epoch loop over a shard set.
 
     Each iteration: compute every shard's *effective* horizon (its next
-    local event, or an earlier undelivered message), stop when nothing
-    remains at or below ``bound``, otherwise open a window of
+    local event, or an earlier undelivered message), stop when every
+    shard is done and no message is in flight, otherwise open a window of
     ``lookahead`` past the global minimum, deliver the pending batch,
     advance every shard to the barrier, and collect the next batch.
     Returns the number of epochs (windows) executed — part of the
@@ -396,7 +383,7 @@ def _drive_epochs(shard_set: Any, *, bound: float, lookahead: float) -> int:
             if horizon < effective.get(dst, float("inf")):
                 effective[dst] = horizon
         floor = min(effective.values(), default=float("inf"))
-        if floor > bound:
+        if floor == float("inf"):
             break
         outbound, peeks = shard_set.run_epoch(floor + lookahead, pending)
         pending = _route_messages(outbound)
@@ -695,8 +682,6 @@ class ShardedScenarioRuntime:
         self.lookahead = spec.shards.lookahead()
         self.epochs = 0
         self.telemetry: dict | None = None
-        self._bound = (spec.duration if spec.duration is not None
-                       else spec.max_time)
         self._set = _InProcessShards(spec, capture=self.capture)
         self._driven = False
         self._result: "ScenarioResult | None" = None
@@ -718,8 +703,7 @@ class ShardedScenarioRuntime:
             raise RuntimeError("this sharded runtime was already driven; "
                                "build a fresh one per run")
         self._driven = True
-        self.epochs = _drive_epochs(self._set, bound=self._bound,
-                                    lookahead=self.lookahead)
+        self.epochs = _drive_epochs(self._set, lookahead=self.lookahead)
 
     def finalize(self) -> None:
         """Stop every shard's periodic processes (idempotent)."""
@@ -779,12 +763,11 @@ def run_sharded(spec: "ScenarioSpec", *, workers: int = 1,
         result = runtime.execute()
         return ShardedOutcome(result=result, telemetry=runtime.telemetry,
                               epochs=runtime.epochs, workers=1)
-    bound = spec.duration if spec.duration is not None else spec.max_time
     lookahead = plan.lookahead()
     order = [shard.name for shard in plan.shards]
     shard_set = _WorkerShards(spec, workers, capture=capture)
     try:
-        epochs = _drive_epochs(shard_set, bound=bound, lookahead=lookahead)
+        epochs = _drive_epochs(shard_set, lookahead=lookahead)
         payloads = shard_set.finish()
     finally:
         shard_set.close()

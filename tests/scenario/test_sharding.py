@@ -167,6 +167,20 @@ def test_worker_count_invariance():
             f"digest diverged at {workers} workers")
 
 
+def test_autoscaled_worker_count_invariance():
+    # Every shard arms the spec's autoscaler; its ticks are daemons, so
+    # the epoch loop ends once each shard is quiescent, well before the
+    # max_time cap, with the same bytes however shards are packed.
+    spec = _sharded_spec().override(
+        {"autoscaler": {"policy": "react", "interval": 5.0}})
+    serial = run_sharded(spec, workers=1)
+    spread = run_sharded(spec, workers=2)
+    assert spread.result.to_json() == serial.result.to_json()
+    assert serial.result.sim_time < spec.max_time
+    assert serial.result.tasks_finished == serial.result.tasks_total
+    assert serial.result.shards["coupling"]["offloaded"] > 0
+
+
 def test_observation_does_not_change_result_bytes():
     spec = _sharded_spec()
     plain = run_sharded(spec, workers=1)

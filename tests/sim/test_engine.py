@@ -306,3 +306,64 @@ def test_nested_process_chains():
     process = sim.process(middle(sim))
     assert sim.run(until=process) == 30
     assert sim.now == 3.0
+
+
+def _ticker(sim, interval, log):
+    """A background loop on daemon timeouts, like an autoscaler."""
+    while True:
+        yield sim.daemon_timeout(interval)
+        log.append(sim.now)
+
+
+def test_run_stops_at_quiescence():
+    sim = Simulator()
+    ticks = []
+    sim.process(_ticker(sim, 1.0, ticks))
+
+    def work(sim):
+        yield sim.timeout(3.5)
+
+    sim.process(work(sim))
+    sim.run()
+    assert sim.now == 3.5
+    assert ticks == [1.0, 2.0, 3.0]
+    assert sim.quiescent
+
+
+def test_explicit_until_keeps_daemons_ticking():
+    sim = Simulator()
+    ticks = []
+    sim.process(_ticker(sim, 1.0, ticks))
+    sim.run(until=5.0)
+    assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert sim.now == 5.0
+
+
+def test_hold_keeps_a_daemon_only_run_live():
+    sim = Simulator()
+    ticks = []
+    sim.process(_ticker(sim, 1.0, ticks))
+    sim.hold(lambda: len(ticks) < 4)
+    sim.run()
+    assert ticks == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_unbounded_every_is_a_daemon():
+    sim = Simulator()
+    seen = []
+    sim.every(2.0, seen.append)
+    sim.every(1.0, seen.append, until=3.0)
+    sim.run()
+    # The bounded ticker runs to its end; the unbounded one only
+    # rides along while the run is live.
+    assert sim.now == 3.0
+    assert seen == [1.0, 2.0, 2.0, 3.0]
+
+
+def test_advance_leaves_clock_at_last_event():
+    sim = Simulator()
+    for delay in (1.0, 2.0, 4.0):
+        sim.timeout(delay)
+    assert sim.advance(3.0) == 2
+    assert sim.now == 2.0
+    assert sim.peek() == 4.0
