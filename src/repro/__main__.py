@@ -57,12 +57,11 @@ from .core import (
     UseCaseRegistry,
 )
 from .datacenter import ReferenceArchitecture
+from .errors import SpecError
 from .evolution import TechnologyTimeline
 from .faas import FaaSReferenceArchitecture
 from .gaming import GamingArchitecture
 from .reporting import render_table
-from .sim.sharding import ShardConfigError
-from .workload.wfformat import WfFormatError
 
 __all__ = ["main"]
 
@@ -202,34 +201,25 @@ def _observe() -> str:
     return "\n\n".join(sections)
 
 
-class SpecLoadError(Exception):
-    """A spec file could not be read or parsed (user-facing message)."""
-
-
 def _load_spec(path: str):
     """Read a :class:`ScenarioSpec` from a JSON file.
 
-    Raises :class:`SpecLoadError` with an actionable message when the
-    file is missing, unreadable, not JSON, or not a valid spec — the
-    CLI turns that into one stderr line and exit code 2, never a raw
-    traceback.
+    Raises :class:`~repro.errors.SpecError` with an actionable message
+    when the file is missing, unreadable, not JSON, or not a valid
+    spec — the CLI turns that into one stderr line and exit code 2,
+    never a raw traceback.
     """
-    import json
-
     from .scenario import ScenarioSpec
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise SpecLoadError(
+        raise SpecError(
             f"cannot read spec file {path!r}: {exc.strerror or exc}"
         ) from exc
     try:
         return ScenarioSpec.from_json(text)
-    except json.JSONDecodeError as exc:
-        raise SpecLoadError(
-            f"spec file {path!r} is not valid JSON: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
-        raise SpecLoadError(
+    except SpecError as exc:
+        raise SpecError(
             f"spec file {path!r} is not a valid scenario spec: "
             f"{type(exc).__name__}: {exc} (see docs/SCENARIOS.md)"
         ) from exc
@@ -558,17 +548,9 @@ def main(argv: list[str] | None = None) -> int:
             return _sweep_spec(argv[1:])
         if name == "serve":
             return _serve(argv[1:])
-    except SpecLoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WfFormatError as exc:
-        # Malformed WfFormat documents embedded in (or referenced by)
-        # a spec surface exactly like other spec errors.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ShardConfigError as exc:
-        # Invalid shard plans (unknown datacenter, overlapping shards,
-        # zero-latency links) follow the same convention.
+    except SpecError as exc:
+        # Unreadable or invalid specs, malformed WfFormat documents and
+        # invalid shard plans all surface as one line and exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if name == "all":

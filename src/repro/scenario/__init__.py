@@ -23,11 +23,16 @@ package is that artifact and its engine:
   parameter sweeps with an order-independent merge and a byte-stable
   report.
 
+Specs decode strictly: every invalid input raises
+:class:`~repro.errors.SpecError` carrying the JSON path of the
+offending value.
+
 Determinism contract: a spec run in-process, in a worker pool, or
 rehydrated from JSON produces the identical result digest.  See
 ``docs/SCENARIOS.md`` for the spec schema and sweep semantics.
 """
 
+from ..errors import SpecError
 from .result import ScenarioResult, compile_result
 from .runtime import ScenarioRuntime, build_runtime, compose
 from .spec import (
@@ -59,6 +64,7 @@ from .sweep import SweepPoint, SweepReport, SweepRunner, sweep
 
 __all__ = [
     "ScenarioSpec",
+    "SpecError",
     "ClusterSpec",
     "TopologySpec",
     "WorkloadSpec",

@@ -21,17 +21,27 @@ data while the kernel owns the generators.  Programmatic escape
 hatches (custom callables, custom autoscalers) are available through
 :meth:`ScenarioSpec.build` overrides — those runs are no longer fully
 serializable, and the spec API makes that boundary explicit.
+
+Every spec class shares one field-driven codec (:class:`SpecCodec`):
+``to_dict`` / ``from_dict`` derive from :func:`dataclasses.fields` and
+the resolved type hints, and decoding is strict (see "Validation" in
+``docs/SCENARIOS.md``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Mapping, Sequence
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
+from types import NoneType, UnionType
+from typing import (Any, Callable, Sequence, Union, get_args, get_origin,
+                    get_type_hints)
 
 from ..autoscaling.autoscalers import AUTOSCALERS
 from ..datacenter.cluster import Cluster, homogeneous_cluster
 from ..datacenter.machine import MachineSpec
+from ..errors import SpecError
 from ..failures.models import FailureEvent
 from ..observability.slo import (
     AvailabilityObjective,
@@ -96,15 +106,142 @@ def _range(value: Any) -> tuple[float, float] | None:
 
 
 # ---------------------------------------------------------------------------
-# Topology
+# The codec: one field-driven to_dict / from_dict for every spec class
 # ---------------------------------------------------------------------------
-#: Default machine link bandwidth (bytes/second); mirrors
-#: :class:`~repro.datacenter.machine.MachineSpec`.
-_DEFAULT_LINK_BANDWIDTH = 1.25e9
+#: Field type -> (accepted Python types, name in error messages).
+_EXPECTED = {bool: (bool, "bool"), int: (int, "int"),
+             float: ((int, float), "float"), str: (str, "str"),
+             Mapping: (Mapping, "an object"),
+             tuple: ((list, tuple), "an array")}
+
+
+def omit_default(default: Any) -> Any:
+    """A field left out of the encoded form while it holds ``default``.
+
+    The only field marker: it lets a new field join a spec class while
+    every fingerprint of a spec written before it stays byte-identical.
+    """
+    return field(default=default, metadata={"omit_default": True})
+
+
+@cache
+def _plan(cls: type) -> tuple[frozenset, tuple]:
+    """``cls``'s field names and ``(name, hint, default, omit)`` entries."""
+    hints = get_type_hints(cls)
+    entries = tuple(
+        (f.name, hints[f.name],
+         f.default if f.default is not MISSING else f.default_factory,
+         f.metadata.get("omit_default", False))
+        for f in fields(cls))
+    return frozenset(e[0] for e in entries), entries
+
+
+def _got(value: Any) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, (list, tuple, Mapping)):
+        return type(value).__name__
+    return f"{type(value).__name__} {value!r}"
+
+
+def _convert(hint: Any, value: Any, path: str) -> Any:
+    """Check ``value`` against a resolved field type; decode nested specs."""
+    if get_origin(hint) in (Union, UnionType):
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not NoneType]
+    if isinstance(hint, type) and issubclass(hint, SpecCodec):
+        return hint.from_dict(value, path)
+    origin = get_origin(hint) or hint
+    accepted, name = _EXPECTED[origin]
+    if (not isinstance(value, accepted)
+            or (isinstance(value, bool) and origin is not bool)):
+        raise SpecError(f"expected {name}, got {_got(value)}", path)
+    if origin is tuple:
+        return tuple(_convert(get_args(hint)[0], item, f"{path}[{i}]")
+                     for i, item in enumerate(value))
+    return value
+
+
+class SpecCodec:
+    """Mixin giving a spec dataclass the field-driven codec."""
+
+    def to_dict(self) -> dict:
+        """Plain data: nested specs as dicts, tuples as lists."""
+        data = {}
+        for name, _, default, omit in _plan(type(self))[1]:
+            value = getattr(self, name)
+            if omit and value == default:
+                continue
+            if isinstance(value, SpecCodec):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = [v.to_dict() if isinstance(v, SpecCodec) else v
+                         for v in value]
+            elif isinstance(value, Mapping):
+                value = dict(value)
+            data[name] = value
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Any, path: str = "$") -> Any:
+        """Strictly rehydrate from :meth:`to_dict` output found at ``path``.
+
+        Raises :class:`~repro.errors.SpecError` naming the JSON path of
+        the first unknown key (with a did-you-mean hint), missing key,
+        wrongly typed value, or value ``__post_init__`` rejects.  An int
+        is kept as-is in a float field, so re-encoding is lossless.
+        """
+        if not isinstance(data, Mapping):
+            raise SpecError(f"expected an object, got {_got(data)}", path)
+        names, entries = _plan(cls)
+        for key in data:
+            if key not in names:
+                import difflib
+                close = difflib.get_close_matches(str(key), names, n=1)
+                hint = (f"did you mean {close[0]!r}?" if close
+                        else f"known keys: {', '.join(sorted(names))}")
+                raise SpecError(f"unknown key {key!r}; {hint}",
+                                f"{path}.{key}")
+        kwargs = {}
+        for name, hint, default, _ in entries:
+            if name in data:
+                kwargs[name] = _convert(hint, data[name], f"{path}.{name}")
+            elif default is MISSING:
+                raise SpecError(f"missing required key {name!r}",
+                                f"{path}.{name}")
+        try:
+            return cls(**kwargs)
+        except SpecError as exc:
+            if exc.path is None:
+                exc.path = path
+            raise
+        except ValueError as exc:
+            raise SpecError(str(exc), path) from exc
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class _KindSpec(SpecCodec):
+    """A ``kind`` from the subclass's ``_kinds`` registry plus ``params``.
+
+    ``params`` are free-form: each kind's builder reads its own keys.
+    """
+
+    kind: str
+    params: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.kind not in self._kinds:
+            raise ValueError(f"unknown {self._label} kind {self.kind!r}; "
+                             f"registered: {sorted(self._kinds)}")
+        object.__setattr__(self, "params", dict(self.params))
+
+
+# ---------------------------------------------------------------------------
+# Topology
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class ClusterSpec(SpecCodec):
     """One homogeneous cluster: ``machines`` identical machines."""
 
     name: str
@@ -113,7 +250,7 @@ class ClusterSpec:
     memory: float = 32.0
     machines_per_rack: int = 16
     speed: float = 1.0
-    link_bandwidth: float = _DEFAULT_LINK_BANDWIDTH
+    link_bandwidth: float = omit_default(MachineSpec.link_bandwidth)
 
     def build(self) -> Cluster:
         """Materialize the cluster."""
@@ -124,26 +261,9 @@ class ClusterSpec:
                         link_bandwidth=self.link_bandwidth),
             machines_per_rack=self.machines_per_rack)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        data = {"name": self.name, "machines": self.machines,
-                "cores": self.cores, "memory": self.memory,
-                "machines_per_rack": self.machines_per_rack,
-                "speed": self.speed}
-        # Omit-if-default keeps every pre-existing spec fingerprint
-        # (a hash of this dict) byte-identical.
-        if self.link_bandwidth != _DEFAULT_LINK_BANDWIDTH:
-            data["link_bandwidth"] = self.link_bandwidth
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClusterSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(SpecCodec):
     """The physical substrate: clusters under one datacenter."""
 
     clusters: tuple[ClusterSpec, ...]
@@ -158,19 +278,6 @@ class TopologySpec:
     def build(self) -> list[Cluster]:
         """Materialize every cluster, in declaration order."""
         return [cluster.build() for cluster in self.clusters]
-
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"clusters": [c.to_dict() for c in self.clusters],
-                "datacenter": self.datacenter, "operator": self.operator}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(clusters=tuple(ClusterSpec.from_dict(c)
-                                  for c in data["clusters"]),
-                   datacenter=data.get("datacenter", "dc"),
-                   operator=data.get("operator", "operator"))
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +360,13 @@ def _uniform_tasks_workload(streams: RandomStreams, datacenter: Any,
     return tasks
 
 
-def _mmpp_jobs_workload(streams: RandomStreams, datacenter: Any,
-                        params: Mapping[str, Any]) -> list:
-    """Bursty bag-of-tasks jobs from an MMPP arrival process [113].
+def _jobs_workload(streams: RandomStreams, params: Mapping[str, Any],
+                   arrivals: Any) -> list:
+    """Bag-of-tasks jobs: a generator over ``arrivals`` and the profiles.
 
     Drives a :class:`~repro.workload.generators.WorkloadGenerator` with
-    Markov-modulated Poisson arrivals and a (possibly degenerate)
-    vicissitude mix over the declared task profiles.
+    a (possibly degenerate) vicissitude mix over the declared task
+    profiles.
     """
     profiles = tuple(
         TaskProfile(kind=p["kind"], runtime_mean=p["runtime_mean"],
@@ -267,37 +374,30 @@ def _mmpp_jobs_workload(streams: RandomStreams, datacenter: Any,
                     cores_choices=tuple(p.get("cores_choices", (1,))),
                     memory_mean=p.get("memory_mean", 1.0))
         for p in params["profiles"])
-    arrivals = MMPPArrivals(
-        quiet_rate=params["quiet_rate"], burst_rate=params["burst_rate"],
-        quiet_duration=params["quiet_duration"],
-        burst_duration=params["burst_duration"],
-        rng=streams.stream(params.get("arrival_stream", "arrivals")))
     generator = WorkloadGenerator(
         arrivals, mix=VicissitudeMix.steady(profiles),
         tasks_per_job=params.get("tasks_per_job", 5.0),
         fragmentation=params.get("fragmentation", 0.0),
         rng=streams.stream(params.get("stream", "workload")))
     return generator.generate(horizon=params["horizon"])
+
+
+def _mmpp_jobs_workload(streams: RandomStreams, datacenter: Any,
+                        params: Mapping[str, Any]) -> list:
+    """Bursty bag-of-tasks jobs from an MMPP arrival process [113]."""
+    return _jobs_workload(streams, params, MMPPArrivals(
+        quiet_rate=params["quiet_rate"], burst_rate=params["burst_rate"],
+        quiet_duration=params["quiet_duration"],
+        burst_duration=params["burst_duration"],
+        rng=streams.stream(params.get("arrival_stream", "arrivals"))))
 
 
 def _poisson_jobs_workload(streams: RandomStreams, datacenter: Any,
                            params: Mapping[str, Any]) -> list:
     """Bag-of-tasks jobs on plain Poisson arrivals."""
-    profiles = tuple(
-        TaskProfile(kind=p["kind"], runtime_mean=p["runtime_mean"],
-                    runtime_sigma=p.get("runtime_sigma", 0.5),
-                    cores_choices=tuple(p.get("cores_choices", (1,))),
-                    memory_mean=p.get("memory_mean", 1.0))
-        for p in params["profiles"])
-    arrivals = PoissonArrivals(
+    return _jobs_workload(streams, params, PoissonArrivals(
         params["rate"],
-        rng=streams.stream(params.get("arrival_stream", "arrivals")))
-    generator = WorkloadGenerator(
-        arrivals, mix=VicissitudeMix.steady(profiles),
-        tasks_per_job=params.get("tasks_per_job", 5.0),
-        fragmentation=params.get("fragmentation", 0.0),
-        rng=streams.stream(params.get("stream", "workload")))
-    return generator.generate(horizon=params["horizon"])
+        rng=streams.stream(params.get("arrival_stream", "arrivals"))))
 
 
 def _wfformat_workload(streams: RandomStreams, datacenter: Any,
@@ -377,39 +477,22 @@ WORKLOAD_KINDS: dict[str, Callable] = {
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_KindSpec):
     """One declared workload: a registered ``kind`` plus parameters."""
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in WORKLOAD_KINDS:
-            raise ValueError(
-                f"unknown workload kind {self.kind!r}; "
-                f"registered: {sorted(WORKLOAD_KINDS)}")
-        object.__setattr__(self, "params", dict(self.params))
+    _kinds, _label = WORKLOAD_KINDS, "workload"
 
     def build(self, streams: RandomStreams, datacenter: Any) -> list:
         """Generate the workload items (tasks or jobs)."""
         return list(WORKLOAD_KINDS[self.kind](streams, datacenter,
                                               self.params))
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(kind=data["kind"], params=data.get("params", {}))
-
 
 # ---------------------------------------------------------------------------
 # Scheduler / autoscaler
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class SchedulerSpec:
+class SchedulerSpec(SpecCodec):
     """Queue + placement policy selection for the cluster scheduler.
 
     ``portfolio`` names extra queue policies raced by a
@@ -436,27 +519,9 @@ class SchedulerSpec:
                 raise ValueError(f"unknown portfolio policy {name!r}")
         object.__setattr__(self, "portfolio", tuple(self.portfolio))
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"queue": self.queue, "placement": self.placement,
-                "backfilling": self.backfilling,
-                "strict_head": self.strict_head,
-                "portfolio": list(self.portfolio),
-                "portfolio_interval": self.portfolio_interval}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SchedulerSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(queue=data.get("queue", "fcfs"),
-                   placement=data.get("placement", "first-fit"),
-                   backfilling=data.get("backfilling", False),
-                   strict_head=data.get("strict_head", False),
-                   portfolio=tuple(data.get("portfolio", ())),
-                   portfolio_interval=data.get("portfolio_interval", 50.0))
-
 
 @dataclass(frozen=True)
-class AutoscalerSpec:
+class AutoscalerSpec(SpecCodec):
     """An elastic-provisioning policy from the autoscaler registry."""
 
     policy: str = "react"
@@ -472,16 +537,6 @@ class AutoscalerSpec:
     def build(self) -> Any:
         """Instantiate the autoscaler policy object."""
         return AUTOSCALERS[self.policy]()
-
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"policy": self.policy, "interval": self.interval}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AutoscalerSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(policy=data.get("policy", "react"),
-                   interval=data.get("interval", 10.0))
 
 
 # ---------------------------------------------------------------------------
@@ -527,17 +582,10 @@ FAILURE_KINDS: dict[str, Callable] = {
 
 
 @dataclass(frozen=True)
-class FailureSpec:
+class FailureSpec(_KindSpec):
     """One declared failure schedule: a registered ``kind`` + params."""
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAILURE_KINDS:
-            raise ValueError(f"unknown failure kind {self.kind!r}; "
-                             f"registered: {sorted(FAILURE_KINDS)}")
-        object.__setattr__(self, "params", dict(self.params))
+    _kinds, _label = FAILURE_KINDS, "failure"
 
     def build(self, streams: RandomStreams, racks: list,
               horizon: float) -> list[FailureEvent]:
@@ -545,21 +593,12 @@ class FailureSpec:
         return list(FAILURE_KINDS[self.kind](streams, racks, horizon,
                                              self.params))
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FailureSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(kind=data["kind"], params=data.get("params", {}))
-
 
 # ---------------------------------------------------------------------------
 # Resilience mechanisms
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class RetrySpec:
+class RetrySpec(SpecCodec):
     """Exponential-backoff retry policy parameters."""
 
     max_attempts: int = 6
@@ -575,20 +614,9 @@ class RetrySpec:
                                   multiplier=self.multiplier,
                                   jitter=self.jitter)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"max_attempts": self.max_attempts, "base": self.base,
-                "cap": self.cap, "multiplier": self.multiplier,
-                "jitter": self.jitter}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RetrySpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class CheckpointSpec:
+class CheckpointSpec(SpecCodec):
     """Checkpoint/restart policy parameters."""
 
     interval: float
@@ -601,19 +629,9 @@ class CheckpointSpec:
                                 overhead=self.overhead,
                                 min_runtime=self.min_runtime)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"interval": self.interval, "overhead": self.overhead,
-                "min_runtime": self.min_runtime}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CheckpointSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class HedgeSpec:
+class HedgeSpec(SpecCodec):
     """Speculative (hedged) execution policy parameters."""
 
     delay_factor: float = 2.0
@@ -628,21 +646,9 @@ class HedgeSpec:
                            max_hedges=self.max_hedges,
                            min_runtime=self.min_runtime)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"delay_factor": self.delay_factor,
-                "min_delay": self.min_delay,
-                "max_hedges": self.max_hedges,
-                "min_runtime": self.min_runtime}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HedgeSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class SheddingSpec:
+class SheddingSpec(SpecCodec):
     """Load-shedding admission-control parameters."""
 
     threshold: float = 0.85
@@ -653,15 +659,6 @@ class SheddingSpec:
         return lambda datacenter: LoadSheddingAdmission(
             datacenter, threshold=self.threshold,
             shed_below=self.shed_below)
-
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"threshold": self.threshold, "shed_below": self.shed_below}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SheddingSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(**dict(data))
 
 
 # ---------------------------------------------------------------------------
@@ -705,34 +702,18 @@ OBJECTIVE_KINDS: dict[str, Callable] = {
 
 
 @dataclass(frozen=True)
-class ObjectiveSpec:
+class ObjectiveSpec(_KindSpec):
     """One declared service objective: a registered ``kind`` + params."""
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in OBJECTIVE_KINDS:
-            raise ValueError(f"unknown objective kind {self.kind!r}; "
-                             f"registered: {sorted(OBJECTIVE_KINDS)}")
-        object.__setattr__(self, "params", dict(self.params))
+    _kinds, _label = OBJECTIVE_KINDS, "objective"
 
     def build(self) -> ServiceObjective:
         """Instantiate the objective."""
         return OBJECTIVE_KINDS[self.kind](self.params)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ObjectiveSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(kind=data["kind"], params=data.get("params", {}))
-
 
 @dataclass(frozen=True)
-class BurnRuleSpec:
+class BurnRuleSpec(SpecCodec):
     """One multi-window burn-rate alerting rule."""
 
     name: str
@@ -746,20 +727,9 @@ class BurnRuleSpec:
                             short_window=self.short_window,
                             threshold=self.threshold)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"name": self.name, "long_window": self.long_window,
-                "short_window": self.short_window,
-                "threshold": self.threshold}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BurnRuleSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class SLOSpec:
+class SLOSpec(SpecCodec):
     """Declared objectives, burn rules, and the telemetry cadence.
 
     ``rules=None`` keeps the engine's default SRE fast/slow pair;
@@ -789,30 +759,12 @@ class SLOSpec:
             return None
         return tuple(r.build() for r in self.rules)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"objectives": [o.to_dict() for o in self.objectives],
-                "rules": (None if self.rules is None
-                          else [r.to_dict() for r in self.rules]),
-                "telemetry_interval": self.telemetry_interval}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SLOSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        rules = data.get("rules")
-        return cls(
-            objectives=tuple(ObjectiveSpec.from_dict(o)
-                             for o in data["objectives"]),
-            rules=(None if rules is None
-                   else tuple(BurnRuleSpec.from_dict(r) for r in rules)),
-            telemetry_interval=data.get("telemetry_interval", 5.0))
-
 
 # ---------------------------------------------------------------------------
 # Sharding (per-region event loops, conservatively coupled)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class ShardLinkSpec:
+class ShardLinkSpec(SpecCodec):
     """One declared wide-area link between two shards (symmetric).
 
     The latency is the one-way message delay between the two regions,
@@ -840,19 +792,9 @@ class ShardLinkSpec:
         """The link as a typed wide-area channel descriptor."""
         return WideAreaLink(src=self.src, dst=self.dst, latency=self.latency)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"src": self.src, "dst": self.dst, "latency": self.latency}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardLinkSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(src=data["src"], dst=data["dst"],
-                   latency=data["latency"])
-
 
 @dataclass(frozen=True)
-class ShardOffloadSpec:
+class ShardOffloadSpec(SpecCodec):
     """Dynamic delegation from one shard to a linked peer.
 
     When the shard's instantaneous utilization reaches ``threshold`` at
@@ -871,19 +813,9 @@ class ShardOffloadSpec:
             raise ShardConfigError(
                 f"offload threshold must be in [0, 1], got {self.threshold}")
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"target": self.target, "threshold": self.threshold}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardOffloadSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(target=data["target"],
-                   threshold=data.get("threshold", 0.85))
-
 
 @dataclass(frozen=True)
-class ShardSpec:
+class ShardSpec(SpecCodec):
     """One shard: a named region owning a subset of the clusters.
 
     Each shard runs its own simulator, scheduler, and datacenter (named
@@ -894,8 +826,8 @@ class ShardSpec:
 
     name: str
     clusters: tuple[str, ...]
-    workload: WorkloadSpec | None = None
-    offload: ShardOffloadSpec | None = None
+    workload: WorkloadSpec | None = omit_default(None)
+    offload: ShardOffloadSpec | None = omit_default(None)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -906,30 +838,9 @@ class ShardSpec:
                 f"at least one")
         object.__setattr__(self, "clusters", tuple(self.clusters))
 
-    def to_dict(self) -> dict:
-        """Plain-data form (optional sections omitted when absent)."""
-        data: dict[str, Any] = {"name": self.name,
-                                "clusters": list(self.clusters)}
-        if self.workload is not None:
-            data["workload"] = self.workload.to_dict()
-        if self.offload is not None:
-            data["offload"] = self.offload.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        workload = data.get("workload")
-        offload = data.get("offload")
-        return cls(name=data["name"], clusters=tuple(data["clusters"]),
-                   workload=(None if workload is None
-                             else WorkloadSpec.from_dict(workload)),
-                   offload=(None if offload is None
-                            else ShardOffloadSpec.from_dict(offload)))
-
 
 @dataclass(frozen=True)
-class ShardPlanSpec:
+class ShardPlanSpec(SpecCodec):
     """The partition of a scenario into conservatively coupled shards.
 
     ``shards`` must partition the topology's clusters exactly — every
@@ -943,7 +854,7 @@ class ShardPlanSpec:
 
     shards: tuple[ShardSpec, ...]
     links: tuple[ShardLinkSpec, ...] = ()
-    epoch: float | None = None
+    epoch: float | None = omit_default(None)
 
     def __post_init__(self) -> None:
         if not self.shards:
@@ -1042,42 +953,15 @@ class ShardPlanSpec:
                 return link.latency
         raise ShardConfigError(f"no link declared between {a!r} and {b!r}")
 
-    def to_dict(self) -> dict:
-        """Plain-data form (``epoch`` omitted when defaulted)."""
-        data: dict[str, Any] = {
-            "shards": [shard.to_dict() for shard in self.shards],
-            "links": [link.to_dict() for link in self.links],
-        }
-        if self.epoch is not None:
-            data["epoch"] = self.epoch
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardPlanSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(
-            shards=tuple(ShardSpec.from_dict(s) for s in data["shards"]),
-            links=tuple(ShardLinkSpec.from_dict(l)
-                        for l in data.get("links", ())),
-            epoch=data.get("epoch"))
-
 
 # ---------------------------------------------------------------------------
 # The scenario spec
 # ---------------------------------------------------------------------------
-_OPTIONAL_SECTIONS: dict[str, type] = {
-    "autoscaler": AutoscalerSpec,
-    "failures": FailureSpec,
-    "retries": RetrySpec,
-    "checkpoints": CheckpointSpec,
-    "hedging": HedgeSpec,
-    "shedding": SheddingSpec,
-    "slos": SLOSpec,
-}
+_SCHEMA = "scenario-spec/v1"
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(SpecCodec):
     """Everything one reproducible simulation run needs, as plain data.
 
     The single composition artifact behind benchmarks, examples, chaos
@@ -1133,7 +1017,7 @@ class ScenarioSpec:
     max_time: float = 10_000_000.0
     availability_slo: float = 0.0
     injection_jitter: float = 0.0
-    shards: ShardPlanSpec | None = None
+    shards: ShardPlanSpec | None = omit_default(None)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -1171,56 +1055,18 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """The spec as JSON-ready plain data."""
-        data: dict[str, Any] = {
-            "schema": "scenario-spec/v1",
-            "name": self.name,
-            "seed": self.seed,
-            "topology": self.topology.to_dict(),
-            "workload": self.workload.to_dict(),
-            "scheduler": self.scheduler.to_dict(),
-            "observer": self.observer,
-            "duration": self.duration,
-            "horizon": self.horizon,
-            "max_time": self.max_time,
-            "availability_slo": self.availability_slo,
-            "injection_jitter": self.injection_jitter,
-        }
-        for key in _OPTIONAL_SECTIONS:
-            section = getattr(self, key)
-            data[key] = None if section is None else section.to_dict()
-        # Omit-if-None (unlike the always-emitted sections above) keeps
-        # every pre-existing spec fingerprint byte-identical.
-        if self.shards is not None:
-            data["shards"] = self.shards.to_dict()
-        return data
+        return {"schema": _SCHEMA, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rehydrate a spec from :meth:`to_dict` output."""
-        schema = data.get("schema", "scenario-spec/v1")
-        if schema != "scenario-spec/v1":
-            raise ValueError(f"unsupported scenario schema {schema!r}")
-        kwargs: dict[str, Any] = {
-            "name": data["name"],
-            "seed": data.get("seed", 0),
-            "topology": TopologySpec.from_dict(data["topology"]),
-            "workload": WorkloadSpec.from_dict(data["workload"]),
-            "scheduler": SchedulerSpec.from_dict(data.get("scheduler", {})),
-            "observer": data.get("observer", False),
-            "duration": data.get("duration"),
-            "horizon": data.get("horizon", 1000.0),
-            "max_time": data.get("max_time", 10_000_000.0),
-            "availability_slo": data.get("availability_slo", 0.0),
-            "injection_jitter": data.get("injection_jitter", 0.0),
-        }
-        for key, section_cls in _OPTIONAL_SECTIONS.items():
-            section = data.get(key)
-            kwargs[key] = (None if section is None
-                           else section_cls.from_dict(section))
-        shards = data.get("shards")
-        kwargs["shards"] = (None if shards is None
-                            else ShardPlanSpec.from_dict(shards))
-        return cls(**kwargs)
+        """Strictly rehydrate a spec from :meth:`to_dict` output."""
+        if isinstance(data, Mapping) and "schema" in data:
+            data = dict(data)
+            schema = data.pop("schema")
+            if schema != _SCHEMA:
+                raise SpecError(f"unsupported scenario schema {schema!r}",
+                                "$.schema")
+        return super().from_dict(data)
 
     def to_json(self, indent: int | None = None) -> str:
         """The spec as a deterministic JSON string."""
@@ -1229,7 +1075,11 @@ class ScenarioSpec:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
         """Rehydrate a spec from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"not valid JSON: {exc}", "$") from exc
+        return cls.from_dict(data)
 
     # ------------------------------------------------------------------
     # Variation
@@ -1241,7 +1091,8 @@ class ScenarioSpec:
         ``"scheduler.queue"``, ``"workload.params.n_tasks"`` ...).  The
         special key ``"scale"`` multiplies every cluster's machine
         count by its value (minimum one machine) — the capacity axis of
-        a sweep.
+        a sweep.  The result is decoded strictly, so a misspelt leaf
+        key raises :class:`~repro.errors.SpecError`.
         """
         data = self.to_dict()
         for path, value in updates.items():
@@ -1301,27 +1152,13 @@ class ScenarioSpec:
         owned = set(shard.clusters)
         clusters = tuple(c for c in self.topology.clusters
                          if c.name in owned)
-        topology = TopologySpec(clusters=clusters, datacenter=shard.name,
-                                operator=self.topology.operator)
-        return ScenarioSpec(
-            name=f"{self.name}/{shard.name}",
-            topology=topology,
+        topology = replace(self.topology, clusters=clusters,
+                           datacenter=shard.name)
+        return replace(
+            self, name=f"{self.name}/{shard.name}", topology=topology,
             workload=shard.workload or self.workload,
             seed=substream_seed(self.seed, f"shard:{shard.name}"),
-            scheduler=self.scheduler,
-            autoscaler=self.autoscaler,
-            failures=self.failures,
-            retries=self.retries,
-            checkpoints=self.checkpoints,
-            hedging=self.hedging,
-            shedding=self.shedding,
-            slos=self.slos,
-            observer=self.observer,
-            duration=self.duration,
-            horizon=self.horizon,
-            max_time=self.max_time,
-            availability_slo=self.availability_slo,
-            injection_jitter=self.injection_jitter)
+            shards=None)
 
     # ------------------------------------------------------------------
     # Execution
@@ -1372,8 +1209,3 @@ def scenario_experiment(seed: int,
     if seed != spec.seed:
         spec = spec.with_seed(seed)
     return spec.run().summary()
-
-
-def _spec_field_names() -> list[str]:
-    """The declared field names of :class:`ScenarioSpec` (for tooling)."""
-    return [f.name for f in fields(ScenarioSpec)]

@@ -40,11 +40,11 @@ work only, which is exactly the promise ``Retry-After`` makes.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
+from ..errors import SpecError
 from ..observability.metrics import MetricsRegistry
 from ..observability.openmetrics import render_openmetrics
 from ..observability.slo import (
@@ -281,15 +281,6 @@ class ScenarioService:
             self.budgets[tenant] = budget
         return budget
 
-    def _parse_spec(self, spec_json: str) -> ScenarioSpec:
-        """Validate and rehydrate a submitted spec (raises ValueError)."""
-        try:
-            return ScenarioSpec.from_json(spec_json)
-        except (ValueError, KeyError, TypeError,
-                json.JSONDecodeError) as exc:
-            raise ValueError(f"invalid scenario spec: "
-                             f"{type(exc).__name__}: {exc}") from exc
-
     def _breaker_retry_after(self) -> float:
         """Seconds until an open breaker would admit half-open probes."""
         opened_at = (self.breaker.transitions[-1][0]
@@ -315,12 +306,13 @@ class ScenarioService:
         tenant = tenant or self.config.default_tenant
         self._count("submissions")
         try:
-            spec = self._parse_spec(spec_json)
-        except ValueError as exc:
+            spec = ScenarioSpec.from_json(spec_json)
+        except SpecError as exc:
             self._count("rejected_invalid")
             self.events.emit("job-rejected", self.clock.now,
                              tenant=tenant, reason="invalid-spec")
-            return SubmitOutcome(status=400, error=str(exc))
+            return SubmitOutcome(status=400,
+                                 error=f"invalid scenario spec: {exc}")
         fingerprint = spec.fingerprint()
         cached = self.cache.get(fingerprint)
         if cached is not None:
@@ -382,7 +374,7 @@ class ScenarioService:
         axes = dict(axes or {})
         self._count("submissions")
         try:
-            spec = self._parse_spec(spec_json)
+            spec = ScenarioSpec.from_json(spec_json)
             points = SweepRunner(spec).grid(
                 seeds=axes.get("seeds", ()),
                 policies=axes.get("policies", ()),

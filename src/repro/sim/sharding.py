@@ -43,6 +43,8 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
+from ..errors import SpecError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scenario.result import ScenarioResult
     from ..scenario.spec import ScenarioSpec, ShardSpec
@@ -58,14 +60,13 @@ __all__ = [
 ]
 
 
-class ShardConfigError(ValueError):
+class ShardConfigError(SpecError):
     """An invalid shard partition or coupling declaration.
 
     The user-facing error for everything a shard plan can get wrong —
     unknown datacenter clusters, overlapping shards, zero-latency
-    links, dangling offload targets.  The CLI catches it and exits 2
-    with the message, matching the
-    :class:`~repro.workload.wfformat.WfFormatError` convention.
+    links, dangling offload targets.  A :class:`~repro.errors.SpecError`,
+    so the CLI exits 2 and the service answers 400 with the message.
     """
 
 

@@ -24,8 +24,9 @@ transfer time — so data-aware placement policies can exploit the
 instance's real data-flow structure.
 
 Malformed documents raise :class:`WfFormatError` carrying the
-offending task id; the CLI maps it to the same ``error: ... / exit 2``
-surface as scenario-spec errors.
+offending task id.  It is a :class:`~repro.errors.SpecError`, so the
+CLI maps it to the same ``error: ... / exit 2`` surface as every other
+scenario-spec error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import json
 from pathlib import Path
 from typing import Union
 
+from ..errors import SpecError
 from .task import Task
 from .workflow import Workflow
 
@@ -44,7 +46,7 @@ __all__ = ["WfFormatError", "load_wfformat", "wfformat_workflow",
 _GIB = float(2 ** 30)
 
 
-class WfFormatError(ValueError):
+class WfFormatError(SpecError):
     """A WfFormat document is malformed.
 
     Attributes:

@@ -5,6 +5,8 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from repro.__main__ import ARTIFACTS, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -154,6 +156,48 @@ def test_run_invalid_spec_document_is_friendly(tmp_path):
     assert code == 2
     assert "not a valid scenario spec" in err
     assert "docs/SCENARIOS.md" in err
+
+
+def _chaos_baseline_with(tmp_path, edit):
+    data = json.loads(SPEC_PATH.read_text(encoding="utf-8"))
+    edit(data)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    return str(bad)
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(data):
+        node = data
+        for part in path:
+            node = node[part]
+        node[key] = value
+    return edit
+
+
+def _rename(old, new):
+    return lambda data: data.__setitem__(new, data.pop(old))
+
+
+@pytest.mark.parametrize("edit, where, hint", [
+    (_rename("horizon", "horizn"), "$.horizn", "did you mean 'horizon'?"),
+    (_set("scheduler", "queue_policy", "sjf"), "$.scheduler.queue_policy",
+     "unknown key 'queue_policy'"),
+    (_set("topology", "clusters", 0, "machines", "ten"),
+     "$.topology.clusters[0].machines", "expected int, got str 'ten'"),
+    (_set("scheduler", "backfilling", "no"), "$.scheduler.backfilling",
+     "expected bool, got str 'no'"),
+])
+def test_run_rejects_misspelt_and_mistyped_fields(tmp_path, edit, where,
+                                                  hint):
+    code, out, err = run_cli("run", _chaos_baseline_with(tmp_path, edit))
+    assert code == 2
+    assert out == ""
+    assert "not a valid scenario spec" in err
+    assert f"{where}: " in err and hint in err
+    assert "Traceback" not in err
 
 
 def test_sweep_missing_spec_file_is_friendly():

@@ -6,8 +6,8 @@ import json
 import pytest
 
 from repro.scenario import (FAILURE_KINDS, WORKLOAD_KINDS, ClusterSpec,
-                            FailureSpec, ScenarioSpec, TopologySpec,
-                            WorkloadSpec)
+                            FailureSpec, ScenarioSpec, SpecError,
+                            TopologySpec, WorkloadSpec)
 
 
 def test_roundtrip_equality(full_spec):
@@ -102,6 +102,10 @@ def test_override_scale_axis(small_spec):
 def test_override_bad_path_raises(small_spec):
     with pytest.raises(KeyError, match="does not resolve"):
         small_spec.override({"workload.nope.deeper": 1})
+    # A misspelt leaf key is rejected too, so a sweep over a typo
+    # cannot rerun one unchanged point N times.
+    with pytest.raises(SpecError, match="did you mean 'queue'"):
+        small_spec.override({"scheduler.queu": "sjf"})
 
 
 def test_validation_errors():

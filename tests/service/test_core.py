@@ -1,6 +1,7 @@
 """The service core: lifecycle, resilience path, and determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,9 @@ from repro.service import (JobState, ScenarioService, ServiceClock,
                            ServiceConfig)
 
 from .conftest import inline_service, service_spec
+
+CHAOS_BASELINE = (Path(__file__).resolve().parents[2] / "examples" / "specs"
+                  / "chaos_baseline.json")
 
 
 class TestServiceClock:
@@ -66,9 +70,18 @@ class TestSubmitLifecycle:
         assert outcome.status == 400
         assert "invalid scenario spec" in (outcome.error or "")
         assert service.submit('{"valid": "json"}').status == 400
+        # A wrongly typed field is a deterministic user error: rejected
+        # up front with its JSON path, never retried on a worker.
+        data = json.loads(CHAOS_BASELINE.read_text(encoding="utf-8"))
+        data["topology"]["clusters"][0]["machines"] = "ten"
+        typed = service.submit(json.dumps(data))
+        assert typed.status == 400
+        assert "$.topology.clusters[0].machines" in (typed.error or "")
+        service.pump()
         snapshot = service.metrics_snapshot()
         assert (snapshot["counters"]["service.rejected_invalid"]
-                == 2.0)
+                == 3.0)
+        assert snapshot["counters"]["service.worker_failures"] == 0.0
 
     def test_unknown_ids(self, service):
         assert service.job_status("ghost") is None
